@@ -147,8 +147,7 @@ def _add_solve_flags(parser):
     parser.add_argument("--divergence-factor", type=float, default=1e6)
     parser.add_argument("--history", default=None, help="write per-iteration residual CSV here")
     parser.add_argument("--export-mm", default=None, metavar="PREFIX",
-                        help="export system as PREFIX.mtx / PREFIX_rhs.mtx")
-    parser.add_argument("--bc", default="dirichlet-neumann", choices=("dirichlet-neumann",))
+                        help="export system as PREFIX.mtx / PREFIX_rhs.txt")
 
 
 def _run_solve(args, A, b, manifest_extras, argv, command):

@@ -7,9 +7,18 @@ divergence and stagnation bookkeeping look at cycle-end residuals only.
 Stagnation additionally arms itself only after the first real
 improvement: highly nonsymmetric systems show long cycle-end transients
 (growth over tens of cycles) before the asymptotic decay sets in, and
-those must not be misread as a plateau.
+those must not be misread as a plateau.  A non-finite residual is
+divergence at once, whatever the point in the cycle.
+
+The run carries the residual ``r = b - A x`` from sweep to sweep: the
+vector whose norm is recorded after one sweep is the one the next sweep
+applies, so each sweep costs a single sparse product.  The scaled
+inverse diagonals ``omega * D^-1`` are formed once per run, one per
+distinct factor.  Both keep the arithmetic of :func:`relaxed_step`
+followed by a fresh residual, so histories are bitwise identical to it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +96,32 @@ def run_srj(A, b, scheme, config=None):
     """Run scheduled-relaxation cycles until a termination condition.
 
     Returns ``(solution, ConvergenceHistory)``.  Termination: residual at
-    or below tolerance (converged); cycle-end residual exceeding
-    ``divergence_factor`` times the initial residual (diverged); best
-    cycle-end residual improving by less than 1% across a window of
-    ``stagnation_window`` cycles, once the run has improved on its
-    initial residual at all (stagnated); or the cycle budget running out.
+    or below tolerance (converged); a non-finite residual after any
+    sweep, or a cycle-end residual exceeding ``divergence_factor`` times
+    the initial residual (diverged); best cycle-end residual improving by
+    less than 1% across a window of ``stagnation_window`` cycles, once
+    the run has improved on its initial residual at all (stagnated); or
+    the cycle budget running out.  Neither ``b`` nor the initial guess
+    is written to.
     """
     config = config or SolveConfig()
     b = np.asarray(b, dtype=float)
     inv_diag = jacobi_split(A)
     x = _initial_vector(config, A.n_rows)
 
-    initial = float(np.linalg.norm(b - spmv(A, x)))
+    # sqrt(r . r) is what np.linalg.norm evaluates for a real vector,
+    # without its argument handling.
+    residual = b - spmv(A, x)
+    initial = math.sqrt(residual.dot(residual))
     residuals = [initial]
     boundaries = []
     if initial <= config.tolerance:
         return x, ConvergenceHistory(np.array(residuals), np.array(boundaries, dtype=int), CONVERGED, 0)
+
+    # (omega * inv_diag) * r is the association relaxed_step evaluates.
+    scaled = {omega: omega * inv_diag for omega in set(scheme.factors)}
+    steps = [scaled[omega] for omega in scheme.factors]
+    update = np.empty_like(x)
 
     best_by_cycle = [initial]
     armed = False       # becomes True once the run has actually improved
@@ -110,12 +129,17 @@ def run_srj(A, b, scheme, config=None):
     cycles = 0
     while status is None and cycles < config.max_cycles:
         cycles += 1
-        for omega in scheme.factors:
-            x = relaxed_step(A, inv_diag, x, b, omega)
-            current = float(np.linalg.norm(b - spmv(A, x)))
+        for step in steps:
+            np.multiply(step, residual, out=update)
+            x += update
+            np.subtract(b, spmv(A, x), out=residual)
+            current = math.sqrt(residual.dot(residual))
             residuals.append(current)
             if current <= config.tolerance:
                 status = CONVERGED
+                break
+            if not math.isfinite(current):
+                status = DIVERGED
                 break
         if status is not None:
             break

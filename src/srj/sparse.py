@@ -1,9 +1,12 @@
 """Compressed sparse row matrices and the few kernels the solver needs.
 
 The matrix-vector product is delegated to scipy's CSR kernel (sequential
-per-row accumulation, bitwise deterministic); everything else here is
-bookkeeping: validation, diagonal extraction for the Jacobi splitting,
-residual norms, and Matrix Market import/export.
+per-row accumulation, bitwise deterministic).  It is the one sparse
+operation per sweep in :func:`srj.solver.run_srj`, which carries the
+residual ``b - A x`` between sweeps and takes its norm itself.
+Everything else here is bookkeeping: validation, diagonal extraction for
+the Jacobi splitting, a standalone residual norm for checking a result,
+and Matrix Market import/export.
 """
 
 from dataclasses import dataclass, field

@@ -123,6 +123,17 @@ def test_solve2d_stagnation_exit_code(capsys):
     assert "status=stagnated" in stdout
 
 
+def test_solve_help_matches_flags_and_outputs(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve1d", "--help"])
+    help_text = capsys.readouterr().out
+    assert "PREFIX.mtx / PREFIX_rhs.txt" in help_text
+    assert "--bc" not in help_text
+    code, _, stderr = run_cli(capsys, "solve1d", "--scheme", "jacobi:1", "--bc", "dirichlet-neumann")
+    assert code == EXIT_USAGE
+    assert "--bc" in stderr
+
+
 def test_solve1d_export_matrix_market(capsys, tmp_path):
     prefix = tmp_path / "system"
     code, _, _ = run_cli(

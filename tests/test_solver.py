@@ -2,18 +2,49 @@ import numpy as np
 import pytest
 
 from srj import (
+    BUDGET_EXHAUSTED,
     CONVERGED,
+    DIVERGED,
     STAGNATED,
+    AdvectionDiffusionSpec1D,
+    AdvectionDiffusionSpec2D,
     ConvergenceHistory,
     CsrMatrix,
     Scheme,
     SolveConfig,
+    build_1d,
+    build_2d,
     jacobi_split,
+    lookup,
     relaxed_step,
+    residual_norm,
     run_jacobi,
     run_srj,
     srj_spectral_radius,
 )
+
+# Four-cycle residual histories recorded with the two-spmv sweep loop
+# (relaxed_step, then a fresh b - A x for the norm).  The solver must
+# reproduce them bit for bit.
+GOLDEN_1D_A150_C1_3 = (
+    "0x1.abff39a718924p+13", "0x1.8ff5f3728feecp+14", "0x1.c23b3f691de63p+17",
+    "0x1.eb6986c290e07p+15", "0x1.3f5a2bc992f71p+15", "0x1.130bdbd9b4aa3p+14",
+    "0x1.c9d4a2d362793p+14", "0x1.d6fc1c81a703bp+17", "0x1.371e2012d5357p+16",
+    "0x1.84679d6399892p+15", "0x1.5e76fa71981d6p+14", "0x1.154ee0cf3a7d5p+15",
+    "0x1.0d48b1ff4c3b0p+18", "0x1.8d7cf8da7b32ap+16", "0x1.e5a93f7d3de1cp+15",
+    "0x1.c5c90106b7bddp+14", "0x1.5b35bec6cfc48p+15", "0x1.4362d7420d180p+18",
+    "0x1.00bbf5cfd968bp+17", "0x1.34d73a2c38cc5p+16", "0x1.289426534b941p+15",
+)
+GOLDEN_2D_A40_C0 = (
+    "0x1.24772a507f328p+14", "0x1.cd5b544c9bba9p+13", "0x1.075be17691f90p+13",
+    "0x1.cfd240ab224c6p+12", "0x1.07f1e44aaaba3p+14", "0x1.6c035194152f3p+13",
+    "0x1.0d0ed3d651e39p+13", "0x1.89b52e27f2ab6p+12", "0x1.65b8725fee294p+12",
+    "0x1.63e2f39f457bep+13", "0x1.fa4acfdda5b7ap+12", "0x1.a0b6debbd78cbp+12",
+    "0x1.4019dd3d63505p+12", "0x1.244e9529cfe8fp+12", "0x1.271b8c868bcfep+13",
+    "0x1.98af758e88fbdp+12", "0x1.70c8bf74cbdecp+12", "0x1.16f62025de384p+12",
+    "0x1.f9376ecd6f0bep+11", "0x1.1791642adc72ep+13", "0x1.71c7db91c0ff4p+12",
+)
+FOUR_CYCLES = SolveConfig(tolerance=1e-300, max_cycles=4, stagnation_window=10**9)
 
 
 def test_relaxed_step_diagonal_exact():
@@ -209,3 +240,62 @@ def test_history_dataclass_properties():
     )
     assert history.iterations == 2
     assert history.final_residual == 0.5
+
+
+@pytest.mark.parametrize(
+    "build, scheme_key, golden",
+    [
+        (lambda: build_1d(AdvectionDiffusionSpec1D(n=64, nu=1.0, a=150.0)), "1/3", GOLDEN_1D_A150_C1_3),
+        (lambda: build_2d(AdvectionDiffusionSpec2D(nx=32, ny=32, nu=1.0, ax=40.0, ay=40.0)), "0", GOLDEN_2D_A40_C0),
+    ],
+    ids=["1d-n64-a150-c1_3", "2d-32-a40-c0"],
+)
+def test_residual_history_matches_recorded_bits(build, scheme_key, golden):
+    A, b = build()
+    _, history = run_srj(A, b, lookup(5, scheme_key), FOUR_CYCLES)
+    assert history.status == BUDGET_EXHAUSTED
+    assert [float(r).hex() for r in history.residuals] == list(golden)
+
+
+def reference_run(A, b, scheme, cycles):
+    """Fixed-length SRJ run built from the public per-sweep kernels."""
+    inv_diag = jacobi_split(A)
+    x = np.ones(A.n_rows)
+    residuals = [residual_norm(A, x, b)]
+    for _ in range(cycles):
+        for omega in scheme.factors:
+            x = relaxed_step(A, inv_diag, x, b, omega)
+            residuals.append(residual_norm(A, x, b))
+    return x, np.array(residuals)
+
+
+@pytest.mark.parametrize("scheme_key", ["0", "1/10", "1/2"])
+def test_run_srj_bitwise_equals_reference_loop(system_1d_n128, m5_schemes, scheme_key):
+    A, b, _ = system_1d_n128(150.0)
+    scheme = m5_schemes[scheme_key]
+    x, history = run_srj(A, b, scheme, SolveConfig(tolerance=1e-300, max_cycles=6, stagnation_window=10**9))
+    x_ref, residuals_ref = reference_run(A, b, scheme, 6)
+    assert np.array_equal(history.residuals, residuals_ref)
+    assert np.array_equal(x, x_ref)
+
+
+def test_run_srj_leaves_inputs_untouched(system_1d_n128, m5_schemes):
+    A, b, _ = system_1d_n128(50.0)
+    b_before = b.copy()
+    guess = np.linspace(0.0, 1.0, A.n_rows)
+    guess_before = guess.copy()
+    run_srj(A, b, m5_schemes["1/5"], SolveConfig(initial_guess=guess, max_cycles=3))
+    assert np.array_equal(b, b_before)
+    assert np.array_equal(guess, guess_before)
+
+
+def test_non_finite_residual_diverges_at_once():
+    # Thirty mild sweeps, then two huge factors: the iterate overflows at
+    # sweep 31.  The run must stop there rather than sweep on to the end
+    # of the cycle budget.
+    A, b = build_1d(AdvectionDiffusionSpec1D(n=64, nu=1.0, a=10.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, history = run_srj(A, b, Scheme(factors=(0.9,) * 30 + (1e300, 1e300)))
+    assert history.status == DIVERGED
+    assert history.iterations <= 32
+    assert len(history.residuals) == history.iterations + 1
