@@ -33,14 +33,10 @@ from .catalog import (
 )
 from .optimizer import (
     DegenerateFactorError,
-    OptimizationProblem,
     OptimizationResult,
-    SolverTolerances,
-    constraint_hessian,
     constraint_jacobian,
     constraint_value,
     derive_scheme,
-    make_problem,
     objective,
     objective_gradient,
 )

@@ -181,7 +181,8 @@ def cmd_derive(args, argv):
     result = derive_scheme(m, c)
     scheme = result.scheme
     print(f"m={m} c={args.c} g_bar={result.g_bar:.8f} converged={result.converged} "
-          f"iterations={result.iterations} max_violation={result.max_constraint_violation:.3e}")
+          f"iterations={result.iterations} max_violation={result.max_constraint_violation:.3e} "
+          f"boundary_max={result.boundary_max:.8f}")
     for w in scheme.factors:
         print(format(w, ".17g"))
     c_key = normalize_c_key(args.c)

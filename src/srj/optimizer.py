@@ -1,33 +1,33 @@
-"""Constrained minimization that produces relaxation schemes.
+"""Relaxation schemes from the minimax problem over an ellipse.
 
-The minimax problem "minimize the worst amplification over the ellipse"
-is solved in its smooth constrained form: minimize ``g_bar**2`` subject
-to ``g_bar**2 - |G(z_j)|**2 >= 0`` at every test point ``z_j``, over the
-decision vector ``x = (w_1 .. w_m, g_bar)``.  Constraint Jacobians are
-analytic (polar decomposition of the complex factor product); constraint
-Hessians are 3-point finite differences of the Jacobian.  The driver is
-a trust-region interior-point solver.
+A scheme minimizes ``g_bar**2`` subject to ``g_bar**2 - |G(z_j)|**2 >= 0``
+at the test points ``z_j`` of its ellipse, over ``x = (w_1 .. w_m, g_bar)``.
+At the optimum |G| equioscillates, so the constraints at the m + 1
+distinct (Im >= 0) test points are all active: a square system for
+damped Newton with the analytic polar Jacobian.  Three paths lead there:
+
+* ``c < 1``: continuation in c (Allgower & Georg, *Numerical Continuation
+  Methods*, 1990) from the analytic real-axis scheme, the exact c = 0
+  solution, with a Newton solve at every adaptive c-step.
+* ``c = 1``: the disk ``|z - x_c| <= a``, whose optimum has every factor
+  ``1/(1 - x_c)`` (Saad, *Iterative Methods for Sparse Linear Systems*,
+  §6.11); the factors coalesce there, so Newton cannot reach it.
+* continuation stalls: one trust-constr run (BFGS constraint Hessian)
+  warm-started from the last continuation point, then Newton.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, NonlinearConstraint, minimize
 
-from .amplification import Scheme, chebyshev_scheme
-from .region import EllipseRegion, ellipse_test_points, make_region, real_test_points
+from .amplification import Scheme, amp_eval, chebyshev_scheme
+from .region import ellipse_test_points, make_region, real_test_points
 
-# Box bounds keep iterates away from the hyperplanes where a factor's
-# polar magnitude vanishes; every published factor sits well inside.
-# The bound variable itself only needs room for feasible seeding: the
-# seed amplification can reach the hundreds on thick ellipses.
+# Box bounds keep iterates off the hyperplanes where a factor's polar
+# magnitude vanishes; g_bar needs room for feasible seeding.
 FACTOR_BOUNDS = (1e-3, 500.0)
 G_BAR_BOUNDS = (0.0, 1e4)
-
-# Aspect ratios at or above this are solved by continuation from the
-# next-smaller anchor ratio to dodge bad local minima.
-_CONTINUATION_THRESHOLD = 1 / 3
-_CONTINUATION_ANCHORS = (1 / 10, 1 / 5, 1 / 3)
+BOUNDARY_SAMPLES = 4096  # points behind OptimizationResult.boundary_max
 
 
 class DegenerateFactorError(ArithmeticError):
@@ -35,31 +35,15 @@ class DegenerateFactorError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class SolverTolerances:
-    kkt_tol: float = 1e-12
-    step_tol: float = 1e-14
-    max_iters: int = 3000
-
-
-@dataclass(frozen=True)
-class OptimizationProblem:
-    """One instance of the constrained minimization."""
-
-    m: int
-    region: EllipseRegion
-    test_points: np.ndarray
-    initial_factors: np.ndarray
-    initial_g_bar: float
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     scheme: Scheme
     g_bar: float
     converged: bool
-    iterations: int
+    iterations: int  # Newton iterations, plus trust-constr's when the fallback ran
     max_constraint_violation: float
+    # Certificate, reported only: max |G| over the test points and BOUNDARY_SAMPLES
+    # points of the upper half boundary (at c = 0, of the segment [-1, lambda_max]).
+    boundary_max: float
 
 
 def objective(x):
@@ -73,18 +57,12 @@ def objective_gradient(x):
     return grad
 
 
-def _objective_hessian(x):
-    hess = np.zeros((x.size, x.size))
-    hess[-1, -1] = 2.0
-    return hess
-
-
-def _factor_parts(factors, points):
+def _factor_parts(factors, points, dtype=float):
     """Real/imaginary parts of every linear factor at every test point.
 
-    Returns ``(k, m)`` arrays for k points and m factors.
+    Returns ``(k, m)`` arrays of ``dtype`` for k points and m factors.
     """
-    factors = np.asarray(factors, dtype=float)
+    factors = np.asarray(factors, dtype=dtype)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
     re = (1.0 - factors)[None, :] + factors[None, :] * points.real[:, None]
     im = factors[None, :] * points.imag[:, None]
@@ -92,54 +70,35 @@ def _factor_parts(factors, points):
 
 
 def _constraint_values(x, points):
-    """Slacks ``g_bar**2 - |G(z_j)|**2`` for every test point, vectorized."""
-    re, im = _factor_parts(x[:-1], points)
-    return x[-1] ** 2 - np.prod(re * re + im * im, axis=1)
+    """Slacks ``g_bar**2 - |G(z_j)|**2`` for every test point, vectorized.
+
+    Extended precision (where the platform has it): near coalescing factors
+    the Newton system is so ill-conditioned that double rounding of the
+    slacks alone stalls Newton near 1e-11, short of the 1e-12 it must reach.
+    """
+    re, im = _factor_parts(x[:-1], points, np.longdouble)
+    return (np.longdouble(x[-1]) ** 2 - np.prod(re * re + im * im, axis=1)).astype(float)
 
 
 def _constraint_jacobians(x, points):
     """Stacked analytic constraint gradients, one row per test point.
 
-    Writes the factor product in polar form ``G = D* exp(i theta*)`` with
-    ``D* = prod C_i`` and ``theta* = sum theta_i``; only the i = j factor
-    depends on ``w_j``, so each partial needs one magnitude and one angle
-    derivative.  The final entry of every row is ``2 g_bar``.
+    In polar form ``G = D* exp(i theta*)`` with ``D* = prod C_i``, the slack
+    depends on ``|G|**2 = D***2`` alone, so its partial in ``w_j`` is
+    ``-2 D* dD*/dw_j = -2 D* (D*/C_j) dC_j/dw_j``.  The last entry is ``2 g_bar``.
     """
     points = np.atleast_1d(np.asarray(points, dtype=complex))
     re, im = _factor_parts(x[:-1], points)
-    xr = points.real[:, None]
-    yi = points.imag[:, None]
-
     mags = np.hypot(re, im)
     if np.any(mags < 1e-300):
         point_idx, factor_idx = np.unravel_index(int(np.argmin(mags)), mags.shape)
-        raise DegenerateFactorError(
-            f"factor {factor_idx} has vanishing magnitude at test point "
-            f"{points[point_idx]!r}; polar angle undefined"
-        )
-    angles = np.arctan2(im, re)
-    mag_total = np.prod(mags, axis=1)
-    angle_total = np.sum(angles, axis=1)
-
-    # Row-wise product of all magnitudes except index j (prefix * suffix).
-    k, m = mags.shape
-    ones = np.ones((k, 1))
-    prefix = np.concatenate((ones, np.cumprod(mags, axis=1)[:, :-1]), axis=1)
-    suffix = np.concatenate((np.cumprod(mags[:, ::-1], axis=1)[:, :-1][:, ::-1], ones), axis=1)
-    d_mag = (re * (xr - 1.0) + im * yi) / mags * (prefix * suffix)
-    # Quotient rule on tan(theta_j) = im/re collapses to yi / C_j**2.
-    d_angle = yi / (mags * mags)
-
-    cos_t = np.cos(angle_total)[:, None]
-    sin_t = np.sin(angle_total)[:, None]
-    re_g = mag_total[:, None] * cos_t
-    im_g = mag_total[:, None] * sin_t
-    d_re = d_mag * cos_t - im_g * d_angle
-    d_im = d_mag * sin_t + re_g * d_angle
-
-    jac = np.empty((k, m + 1))
-    jac[:, :m] = -2.0 * re_g * d_re - 2.0 * im_g * d_im
-    jac[:, m] = 2.0 * x[-1]
+        raise DegenerateFactorError(f"factor {factor_idx} has vanishing magnitude at test point "
+                                    f"{points[point_idx]!r}; polar angle undefined")
+    mag_total = np.prod(mags, axis=1)[:, None]
+    d_mag = (mag_total / mags) * (re * (points.real[:, None] - 1.0) + im * points.imag[:, None]) / mags
+    jac = np.empty((mags.shape[0], mags.shape[1] + 1))
+    jac[:, :-1] = -2.0 * mag_total * d_mag
+    jac[:, -1] = 2.0 * x[-1]
     return jac
 
 
@@ -153,69 +112,24 @@ def constraint_jacobian(x, z):
     return _constraint_jacobians(np.asarray(x, dtype=float), z)[0]
 
 
-def constraint_hessian(x, z, step=1e-6):
-    """Symmetrized 3-point finite-difference Hessian of the constraint."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    hess = np.empty((n, n))
-    for k in range(n):
-        shift = np.zeros(n)
-        shift[k] = step
-        hess[:, k] = (constraint_jacobian(x + shift, z) - constraint_jacobian(x - shift, z)) / (2.0 * step)
-    return (hess + hess.T) / 2.0
+def _test_points(m, c_ratio):
+    return real_test_points(m).astype(complex) if c_ratio == 0.0 else ellipse_test_points(make_region(m, c_ratio))
 
 
-def make_problem(m, c_ratio, initial_factors=None, initial_g_bar=None, tolerances=None):
-    """Assemble the problem for (m, c_ratio) with the default seeding.
+def _bounds(m):
+    lower = np.append(np.full(m, FACTOR_BOUNDS[0]), G_BAR_BOUNDS[0])
+    return lower, np.append(np.full(m, FACTOR_BOUNDS[1]), G_BAR_BOUNDS[1])
 
-    Factors seed from the analytic real-axis scheme unless given.  The
-    bound seeds feasible: slightly above the worst amplification of the
-    seed factors over the test points (floored at 0.4, which covers the
-    thin-ellipse cases).  An infeasible bound guess strands the interior
-    point solver when the seed amplification is large on thick ellipses.
+
+def _polish(x, zs, max_drift=0.05):
+    """Damped Newton on the active system ``c_j(x) = 0`` at the distinct test points.
+
+    Backtracking keeps it stable on the flat ridges long cycles produce.
+    Returns ``(x, iterations)``, x None when the system is singular, the
+    residual stays above 1e-12, x drifts beyond ``max_drift`` or its bounds.
     """
-    region = make_region(m, c_ratio)
-    if c_ratio == 0.0:
-        test_points = real_test_points(m).astype(complex)
-    else:
-        test_points = ellipse_test_points(region)
-    if initial_factors is None:
-        initial_factors = np.array(chebyshev_scheme(m).factors)
-    initial_factors = np.asarray(initial_factors, dtype=float)
-    if initial_g_bar is None:
-        re, im = _factor_parts(initial_factors, test_points)
-        worst = float(np.sqrt(np.prod(re * re + im * im, axis=1).max()))
-        initial_g_bar = max(0.4, 1.05 * worst)
-    return OptimizationProblem(
-        m=m,
-        region=region,
-        test_points=np.asarray(test_points, dtype=complex),
-        initial_factors=initial_factors,
-        initial_g_bar=float(initial_g_bar),
-        tolerances=tolerances or SolverTolerances(),
-    )
-
-
-def _unique_points(zs):
-    """Drop lower-half conjugates; they duplicate value and Jacobian."""
-    return np.array([z for z in zs if z.imag >= 0.0])
-
-
-def _polish(x, zs, lower, upper, max_drift=0.05):
-    """Damped-Newton refinement on the fully active system ``c_j(x) = 0``.
-
-    At the optimum every distinct test-point constraint is active (the
-    amplification equioscillates), which pins the m+1 unknowns exactly.
-    Backtracking keeps the iteration stable on the flat ridges long
-    cycles produce.  Returns the refined vector, or None when the
-    refinement is not trustworthy (singular system, no progress,
-    wandering step, or bound violation).
-    """
-    unique = _unique_points(zs)
-    if unique.size != x.size:
-        return None
-    start = x.copy()
-    x = x.copy()
+    unique = zs[zs.imag >= 0.0]
+    start, iterations = x.copy(), 0
     for _ in range(60):
         values = _constraint_values(x, unique)
         worst = np.abs(values).max()
@@ -223,8 +137,8 @@ def _polish(x, zs, lower, upper, max_drift=0.05):
             break
         try:
             step = np.linalg.solve(_constraint_jacobians(x, unique), -values)
-        except np.linalg.LinAlgError:
-            return None
+        except (np.linalg.LinAlgError, DegenerateFactorError):
+            return None, iterations
         scale = 1.0
         for _ in range(30):
             trial = x + scale * step
@@ -234,223 +148,103 @@ def _polish(x, zs, lower, upper, max_drift=0.05):
             scale *= 0.5
         else:
             break
-        x = x + scale * step
-    if np.abs(_constraint_values(x, unique)).max() > 1e-12:
-        return None
+        x, iterations = x + scale * step, iterations + 1
+    lower, upper = _bounds(x.size - 1)
     drift = np.abs(x - start).max() / (1.0 + np.abs(start).max())
-    if drift > max_drift or np.any(x < lower) or np.any(x > upper):
-        return None
-    return x
+    if np.abs(_constraint_values(x, unique)).max() > 1e-12 or drift > max_drift or np.any((x < lower) | (x > upper)):
+        return None, iterations
+    return x, iterations
 
 
-# Relative spread fractions tried when splitting coalesced factors apart.
-_SPLIT_FRACTIONS = (0.05, 0.1, 0.15, 0.25)
+def _continue(m, c_ratio):
+    """Newton continuation from the exact c = 0 solution toward ``c_ratio``.
 
-
-def _coalesced_groups(factors, rel_tol=0.05):
-    """Indices of nearly coincident factors, grouped by adjacency."""
-    order = np.argsort(factors)[::-1]
-    groups = []
-    current = [order[0]]
-    for prev, idx in zip(order, order[1:]):
-        if abs(factors[prev] - factors[idx]) < rel_tol * factors[prev]:
-            current.append(idx)
-        else:
-            if len(current) > 1:
-                groups.append(current)
-            current = [idx]
-    if len(current) > 1:
-        groups.append(current)
-    return groups
-
-
-def _split_and_polish(best, zs, lower, upper):
-    """Escape a merged-factor ridge by spreading duplicates and re-polishing.
-
-    Long cycles over thick ellipses sometimes stall with two factors
-    coalesced; that configuration is nearly as good as the true optimum
-    but singular for Newton.  Splitting the pair apart drops the iterate
-    into the distinct-root basin.  Only accepted when the refined bound
-    is no worse.
+    Starts at 20 equal steps; a solved step grows the next by 1.5x (up to
+    twice the first), a failed one halves it, down to 1e-6.  Returns
+    ``(x, c_reached, iterations)`` for the last solved point.
     """
-    groups = _coalesced_groups(best[:-1])
-    if not groups:
-        return None
-    for split in _SPLIT_FRACTIONS:
-        trial = best.copy()
-        for group in groups:
-            members = sorted(group, key=lambda i: -best[i])
-            for rank, idx in enumerate(members):
-                spread = split * (1.0 - 2.0 * rank / max(len(members) - 1, 1))
-                trial[idx] *= 1.0 + spread
-        polished = _polish(trial, zs, lower, upper, max_drift=0.5)
-        if polished is not None and polished[-1] <= best[-1] + 1e-9:
-            return polished
-    return None
+    x = np.append(chebyshev_scheme(m).factors, 1.0 / 3.0)
+    c, iterations = 0.0, 0
+    first = step = c_ratio / 20.0
+    while c < c_ratio:
+        target = min(c + step, c_ratio)
+        solved, its = _polish(x, _test_points(m, target), max_drift=0.2)
+        iterations += its
+        if solved is None:
+            step /= 2.0
+            if step < 1e-6:
+                break
+        else:
+            x, c, step = solved, target, min(1.5 * step, 2.0 * first)
+    return x, c, iterations
 
 
-def _solve(problem):
-    m = problem.m
-    zs = problem.test_points
-    tols = problem.tolerances
+def _fallback(m, x, zs):
+    """One trust-constr run warm-started from ``x``, then Newton.
 
-    def fun(x):
-        return _constraint_values(x, zs)
+    g_bar re-seeds feasible, just above the factors' worst amplification
+    over ``zs`` (floored at 0.4): an infeasible bound guess strands the
+    interior-point solver.  Returns ``(x, iterations, solved)``.
+    """
+    from scipy.optimize import BFGS, Bounds, NonlinearConstraint, minimize
 
-    def jac(x):
-        return _constraint_jacobians(x, zs)
-
-    def hess(x, v, step=1e-6):
-        # 3-point finite difference of the multiplier-weighted Jacobian;
-        # one Jacobian pass per coordinate instead of one per test point.
-        v = np.asarray(v, dtype=float)
-        total = np.empty((m + 1, m + 1))
-        for k in range(m + 1):
-            shift = np.zeros(m + 1)
-            shift[k] = step
-            diff = _constraint_jacobians(x + shift, zs) - _constraint_jacobians(x - shift, zs)
-            total[:, k] = v @ diff / (2.0 * step)
-        return (total + total.T) / 2.0
-
-    lower = np.concatenate((np.full(m, FACTOR_BOUNDS[0]), [G_BAR_BOUNDS[0]]))
-    upper = np.concatenate((np.full(m, FACTOR_BOUNDS[1]), [G_BAR_BOUNDS[1]]))
-    x0 = np.concatenate((problem.initial_factors, [problem.initial_g_bar]))
-    x0 = np.clip(x0, lower, upper)
-
-    constraint = NonlinearConstraint(fun, 0.0, np.inf, jac=jac, hess=hess)
+    lower, upper = _bounds(m)
+    worst = np.sqrt((x[-1] ** 2 - _constraint_values(x, zs)).max())
+    x0 = np.clip(np.append(x[:-1], max(0.4, 1.05 * worst)), lower, upper)
+    constraint = NonlinearConstraint(lambda v: _constraint_values(v, zs), 0.0, np.inf,
+                                     jac=lambda v: _constraint_jacobians(v, zs), hess=BFGS())
+    objective_hessian = np.diag(np.append(np.zeros(m), 2.0))
     for attempt in range(3):
         try:
-            result = minimize(
-                objective,
-                x0,
-                jac=objective_gradient,
-                hess=_objective_hessian,
-                method="trust-constr",
-                bounds=Bounds(lower, upper),
-                constraints=[constraint],
-                options={
-                    "gtol": tols.kkt_tol,
-                    "xtol": tols.step_tol,
-                    "barrier_tol": tols.kkt_tol,
-                    "maxiter": tols.max_iters,
-                },
-            )
+            result = minimize(objective, x0, jac=objective_gradient, hess=lambda v: objective_hessian,
+                              method="trust-constr", bounds=Bounds(lower, upper), constraints=[constraint],
+                              options={"gtol": 1e-12, "xtol": 1e-14, "barrier_tol": 1e-12, "maxiter": 3000})
             break
         except DegenerateFactorError:
-            # Nudge off the singular hyperplane and restart; optima never
-            # sit on it.
+            # Nudge off the singular hyperplane and restart; optima never sit on it.
             x0 = x0.copy()
             x0[:m] += 1e-12 * (attempt + 1)
     else:
         raise DegenerateFactorError(f"optimizer kept hitting degenerate factors for m={m}")
 
-    solver_ok = result.status in (1, 2) and result.niter <= tols.max_iters
     best = result.x.copy()
     best[-1] = abs(best[-1])  # only g_bar**2 enters the problem; fix the gauge
-
-    # A successful polish lands on the exact equioscillation solution
-    # (all distinct constraints active to round-off), which also rescues
-    # runs where the trust-region solver crawled out its budget on a
-    # flat ridge.
-    polished = _polish(best, zs, lower, upper)
-    if polished is None or polished[-1] > best[-1] + 1e-9:
-        polished = _split_and_polish(best, zs, lower, upper)
-    refined = polished is not None
-    if refined:
-        best = polished
-
-    violation = float(max(0.0, -_constraint_values(best, zs).min()))
-    return best, result.niter, violation, solver_ok or refined
+    polished, its = _polish(best, zs)  # rescues runs that crawled out their budget
+    if polished is not None and polished[-1] <= best[-1] + 1e-9:
+        return polished, result.niter + its, True
+    return best, result.niter + its, result.status in (1, 2)
 
 
-def _result_from(x, violation, solver_ok):
-    factors = np.sort(x[:-1])[::-1]
-    g_bar = float(x[-1])
-    converged = bool(solver_ok and violation <= 1e-8 and 0.0 < g_bar < 1.0)
-    scheme = Scheme(
-        factors=tuple(factors),
-        c_ratio=None,
-        g_bar=g_bar if g_bar < 1.0 else None,
-    )
-    return scheme, g_bar, converged
-
-
-def _run_chain(m, stages, tolerances):
-    """Solve a continuation chain, warm-starting each stage's factors."""
-    warm_factors = None
-    iterations = 0
-    for stage_c in stages:
-        problem = make_problem(m, stage_c, initial_factors=warm_factors, tolerances=tolerances)
-        best, niter, violation, solver_ok = _solve(problem)
-        iterations += niter
-        warm_factors = best[:-1]
-    return best, iterations, violation, solver_ok
-
-
-def _stage_ladders(c_ratio):
-    """Continuation ladders to try, most direct first.
-
-    The default policy runs continuation only for thick ellipses (at or
-    above 1/3).  On failure, fall back to continuation from below for
-    any ratio, then to a ladder with an extra midpoint stage; long
-    cycles occasionally need the smaller steps to stay on the solution
-    branch.
-    """
-    anchors = [c for c in _CONTINUATION_ANCHORS if c < c_ratio]
-    default = (anchors if c_ratio >= _CONTINUATION_THRESHOLD else []) + [c_ratio]
-    ladders = [default]
-    if anchors and c_ratio < _CONTINUATION_THRESHOLD:
-        ladders.append(anchors + [c_ratio])
-    last = anchors[-1] if anchors else c_ratio / 2.0
-    if last < c_ratio:
-        ladders.append(anchors + [(last + c_ratio) / 2.0, c_ratio])
-    return ladders
-
-
-def derive_scheme(m, c_ratio, tolerances=None):
+def derive_scheme(m, c_ratio):
     """Derive the length-m scheme optimized over the (m, c_ratio) ellipse.
 
-    Initialization follows a fixed policy: the analytic real-axis scheme
-    seeds the factors, the bound seeds just above the seed's worst
-    amplification, and thick-ellipse targets are reached by continuation
-    through the smaller anchor ratios.  Failed runs retry on finer
-    continuation ladders before giving up.  Factors are returned sorted
-    descending.  A run that still ends infeasible or over budget is
-    flagged ``converged=False`` with the best iterate kept.
+    Closed form at ``c_ratio = 1``; below it, continuation in c from the
+    analytic c = 0 scheme, then one warm-started trust-constr run only if
+    continuation stalls.  Factors are sorted descending; an infeasible result,
+    or a fallback that neither converged nor polished, has ``converged=False``.
     """
     if m < 2:
         raise ValueError(f"scheme derivation needs m >= 2, got {m}")
     if not 0.0 <= c_ratio <= 1.0:
         raise ValueError(f"c_ratio must lie in [0, 1], got {c_ratio}")
 
-    iterations = 0
-    outcome = None
-    for stages in _stage_ladders(c_ratio):
-        best, niter, violation, solver_ok = _run_chain(m, stages, tolerances)
-        iterations += niter
-        candidate = (best, violation, solver_ok)
-        if outcome is None or _better_outcome(candidate, outcome):
-            outcome = candidate
-        if solver_ok and violation <= 1e-8:
-            break
+    zs = _test_points(m, c_ratio)
+    region = make_region(m, c_ratio)
+    if c_ratio == 1.0:
+        w = 1.0 / (1.0 - region.x_c)
+        x, iterations, solved = np.append(np.full(m, w), (region.a * w) ** m), 0, True
+    else:
+        x, c_reached, iterations = _continue(m, c_ratio)
+        solved = c_reached == c_ratio
+        if not solved:
+            x, niter, solved = _fallback(m, x, zs)
+            iterations += niter
 
-    best, violation, solver_ok = outcome
-    scheme, g_bar, converged = _result_from(best, violation, solver_ok)
-    scheme = Scheme(factors=scheme.factors, c_ratio=float(c_ratio), g_bar=scheme.g_bar)
-    return OptimizationResult(
-        scheme=scheme,
-        g_bar=g_bar,
-        converged=converged,
-        iterations=iterations,
-        max_constraint_violation=violation,
-    )
-
-
-def _better_outcome(candidate, incumbent):
-    cand_ok = candidate[2] and candidate[1] <= 1e-8
-    inc_ok = incumbent[2] and incumbent[1] <= 1e-8
-    if cand_ok != inc_ok:
-        return cand_ok
-    if cand_ok:
-        return candidate[0][-1] < incumbent[0][-1]
-    return candidate[1] < incumbent[1]
+    theta = np.linspace(0.0, np.pi, BOUNDARY_SAMPLES)
+    boundary = region.x_c + region.a * np.cos(theta) + 1j * region.b * np.sin(theta)
+    violation = float(max(0.0, -_constraint_values(x, zs).min()))
+    g_bar = float(x[-1])
+    scheme = Scheme(factors=tuple(np.sort(x[:-1])[::-1]), c_ratio=float(c_ratio), g_bar=g_bar if g_bar < 1.0 else None)
+    boundary_max = float(np.abs(amp_eval(scheme, np.concatenate((boundary, zs)))).max())
+    converged = bool(solved and violation <= 1e-8 and 0.0 < g_bar < 1.0)
+    return OptimizationResult(scheme, g_bar, converged, iterations, violation, boundary_max)

@@ -57,6 +57,14 @@ def test_derive_command_prints_bound_below_one(capsys):
     assert g_bar < 1.0
 
 
+def test_derive_command_prints_certificate(capsys):
+    code, stdout, _ = run_cli(capsys, "derive", "--m", "3", "--c", "1/10")
+    assert code == EXIT_OK
+    g_bar = float(stdout.split("g_bar=")[1].split()[0])
+    boundary_max = float(stdout.split("boundary_max=")[1].split()[0])
+    assert boundary_max == pytest.approx(g_bar, rel=1e-6)
+
+
 def test_derive_rejects_m1(capsys):
     code, _, err = run_cli(capsys, "derive", "--m", "1", "--c", "0")
     assert code == EXIT_USAGE

@@ -4,16 +4,15 @@ import pytest
 from srj import (
     amp_eval,
     chebyshev_scheme,
-    constraint_hessian,
     constraint_jacobian,
     constraint_value,
     derive_scheme,
     ellipse_test_points,
     lambda_max,
-    make_problem,
     make_region,
     objective,
     objective_gradient,
+    real_test_points,
 )
 
 C_GRID = (0.0, 1 / 10, 1 / 5, 1 / 3, 1 / 2)
@@ -120,47 +119,6 @@ def test_constraint_jacobian_degenerate_factor():
         constraint_jacobian(x, complex(-1.0))
 
 
-def test_constraint_hessian_structure():
-    rng = np.random.default_rng(17)
-    x, z = random_sample(rng)
-    hess = constraint_hessian(x, z)
-    np.testing.assert_allclose(hess, hess.T, atol=1e-12)
-    assert hess[-1, -1] == pytest.approx(2.0, abs=1e-6)
-    np.testing.assert_allclose(hess[:-1, -1], 0.0, atol=1e-6)
-
-
-def test_constraint_hessian_matches_second_order_fd():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        m = 3
-        x = np.concatenate((rng.uniform(0.5, 3.0, m), [rng.uniform(0.2, 0.8)]))
-        z = complex(rng.uniform(-0.8, 0.6), rng.uniform(0.05, 0.4))
-        hess = constraint_hessian(x, z)
-        h = 1e-4
-        for i in range(m + 1):
-            for j in range(m + 1):
-                xpp, xpm, xmp, xmm = (x.copy() for _ in range(4))
-                xpp[i] += h; xpp[j] += h
-                xpm[i] += h; xpm[j] -= h
-                xmp[i] -= h; xmp[j] += h
-                xmm[i] -= h; xmm[j] -= h
-                fd = (
-                    constraint_value(xpp, z)
-                    - constraint_value(xpm, z)
-                    - constraint_value(xmp, z)
-                    + constraint_value(xmm, z)
-                ) / (4.0 * h * h)
-                assert hess[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-4)
-
-
-def test_make_problem_shapes():
-    problem = make_problem(4, 0.0)
-    assert len(problem.test_points) == 5
-    assert len(problem.initial_factors) == 4
-    problem = make_problem(4, 0.5)
-    assert len(problem.test_points) == 8
-
-
 @pytest.fixture(scope="module")
 def derived_grid():
     results = {}
@@ -235,3 +193,85 @@ def test_derive_scheme_validates_inputs():
         derive_scheme(1, 0.0)
     with pytest.raises(ValueError):
         derive_scheme(3, 1.5)
+
+
+def test_boundary_certificate_brackets_g_bar(derived_grid):
+    for (m, c), result in derived_grid.items():
+        if c == 0.0:
+            points = real_test_points(m).astype(complex)
+        else:
+            points = ellipse_test_points(make_region(m, c))
+        at_points = np.abs(amp_eval(result.scheme, points)).max()
+        assert at_points <= result.boundary_max <= result.g_bar * (1.0 + 1e-6), (m, c)
+
+
+def test_derive_at_c1_is_the_disk_closed_form():
+    for m in range(2, 21):
+        region = make_region(m, 1.0)
+        w = 1.0 / (1.0 - region.x_c)
+        result = derive_scheme(m, 1.0)
+        assert result.converged, m
+        np.testing.assert_allclose(result.scheme.factors, w, rtol=0.0, atol=1e-12)
+        assert result.g_bar == pytest.approx((region.a / (1.0 - region.x_c)) ** m, rel=0.0, abs=1e-12)
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    import scipy.optimize
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("trust-constr ran although continuation should reach the target")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", unexpected)
+
+
+def test_catalog_grid_needs_no_fallback(no_fallback):
+    for m in range(2, 11):
+        for c in C_GRID:
+            assert derive_scheme(m, c).converged, (m, c)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="no extended precision: the Newton floor stalls continuation here")
+def test_thick_ellipses_converge_by_continuation(no_fallback):
+    # Ceilings: the g_bar at which a trust-constr minimization of these inputs stops, not converged.
+    trust_constr_g_bar = {(16, 0.95): 0.9030534149, (20, 0.9): 0.9174451716, (24, 0.85): 0.9267688980}
+    for (m, c), ceiling in trust_constr_g_bar.items():
+        result = derive_scheme(m, c)
+        assert result.converged, (m, c)
+        assert result.max_constraint_violation <= 1e-12, (m, c)
+        assert result.g_bar <= ceiling + 1e-7, (m, c)
+        assert result.boundary_max <= result.g_bar * (1.0 + 1e-9), (m, c)
+
+
+def test_fallback_takes_over_when_continuation_stalls(monkeypatch):
+    import scipy.optimize
+
+    from srj import lookup, optimizer
+
+    newton = optimizer._polish
+    steps = []
+
+    def stalling(x, zs, max_drift=0.05):
+        # Continuation steps are the calls with the wider drift bound;
+        # every one after the first reports failure.
+        if max_drift > 0.05:
+            steps.append(zs)
+            if len(steps) > 1:
+                return None, 0
+        return newton(x, zs, max_drift)
+
+    minimize = scipy.optimize.minimize
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_polish", stalling)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    result = derive_scheme(4, 0.5)
+    assert len(runs) == 1
+    assert len(steps) > 1
+    assert result.converged
+    assert result.g_bar == pytest.approx(lookup(4, "1/2").g_bar, abs=1e-4)
