@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _catalog_data
 from .amplification import Scheme, amp_eval
-from .region import ellipse_test_points, make_region, real_test_points
+from .region import _test_points
 
 C_RATIO_KEYS = ("0", "1/10", "1/5", "1/3", "1/2")
 M_RANGE = range(2, 21)
@@ -72,12 +72,6 @@ def catalog_keys():
     return keys
 
 
-def _test_points(m, c_key):
-    if c_key == "0":
-        return real_test_points(m).astype(complex)
-    return ellipse_test_points(make_region(m, c_ratio_value(c_key)))
-
-
 _g_bar_cache = {}
 
 
@@ -86,7 +80,7 @@ def recomputed_g_bar(m, c_key, factors):
     cache_key = (m, c_key, factors)
     if cache_key not in _g_bar_cache:
         probe = Scheme(factors=factors)
-        _g_bar_cache[cache_key] = float(np.abs(amp_eval(probe, _test_points(m, c_key))).max())
+        _g_bar_cache[cache_key] = float(np.abs(amp_eval(probe, _test_points(m, c_ratio_value(c_key)))).max())
     return _g_bar_cache[cache_key]
 
 

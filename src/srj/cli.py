@@ -5,6 +5,8 @@ the command line, code version, scheme provenance, and the boundary/
 forcing conventions, so an experiment can be re-run exactly from its
 output alone.  Exit codes: 0 ok/converged, 1 optimizer non-convergence,
 2 stagnated, 3 diverged, 4 cycle budget exhausted, 64 usage error.
+``derive`` evaluates a closed form that always converges, so it never
+exits 1; the code stays reserved for it.
 """
 
 import argparse
@@ -312,7 +314,7 @@ def build_parser():
     parser = _Parser(prog="srj", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", help="derive a scheme by constrained minimization")
+    p = sub.add_parser("derive", help="closed-form scheme for an ellipse")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", required=True, help="ellipse aspect ratio (decimal or p/q)")
     p.add_argument("--out", default=None, help="write the scheme file here")

@@ -2,31 +2,22 @@
 
 A scheme minimizes ``g_bar**2`` subject to ``g_bar**2 - |G(z_j)|**2 >= 0``
 at the test points ``z_j`` of its ellipse, over ``x = (w_1 .. w_m, g_bar)``.
-At the optimum |G| equioscillates, so the constraints at the m + 1
-distinct (Im >= 0) test points are all active: a square system for
-damped Newton with the analytic polar Jacobian.  Three paths lead there:
-
-* ``c < 1``: continuation in c (Allgower & Georg, *Numerical Continuation
-  Methods*, 1990) from the analytic real-axis scheme, the exact c = 0
-  solution, with a Newton solve at every adaptive c-step.
-* ``c = 1``: the disk ``|z - x_c| <= a``, whose optimum has every factor
-  ``1/(1 - x_c)`` (Saad, *Iterative Methods for Sparse Linear Systems*,
-  §6.11); the factors coalesce there, so Newton cannot reach it.
-* continuation stalls: one trust-constr run (BFGS constraint Hessian)
-  warm-started from the last continuation point, then Newton.
+The optimum is in closed form (T. A. Manteuffel, Numer. Math. 28, 1977):
+the Chebyshev polynomial of the focal segment ``[x_c - d, x_c + d]``,
+``d = a sqrt(1 - c**2)``, scaled to ``G(1) = 1``, whose modulus peaks at
+every test point (the lifted Chebyshev extrema).  Its roots fix the
+factors through ``w = 1/(1 - root)``; c = 0 gives :func:`chebyshev_scheme`,
+c = 1 (d = 0) the disk optimum.  Over the whole ellipse it is not always
+the exact minimax (Fischer & Freund, J. Approx. Theory 65, 1991).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplification import Scheme, amp_eval, chebyshev_scheme
-from .region import ellipse_test_points, make_region, real_test_points
+from .amplification import Scheme, amp_eval
+from .region import _test_points, make_region
 
-# Box bounds keep iterates off the hyperplanes where a factor's polar
-# magnitude vanishes; g_bar needs room for feasible seeding.
-FACTOR_BOUNDS = (1e-3, 500.0)
-G_BAR_BOUNDS = (0.0, 1e4)
 BOUNDARY_SAMPLES = 4096  # points behind OptimizationResult.boundary_max
 
 
@@ -38,8 +29,8 @@ class DegenerateFactorError(ArithmeticError):
 class OptimizationResult:
     scheme: Scheme
     g_bar: float
-    converged: bool
-    iterations: int  # Newton iterations, plus trust-constr's when the fallback ran
+    converged: bool  # always True: the closed form needs no search
+    iterations: int  # always 0, for the same reason
     max_constraint_violation: float
     # Certificate, reported only: max |G| over the test points and BOUNDARY_SAMPLES
     # points of the upper half boundary (at c = 0, of the segment [-1, lambda_max]).
@@ -57,12 +48,9 @@ def objective_gradient(x):
     return grad
 
 
-def _factor_parts(factors, points, dtype=float):
-    """Real/imaginary parts of every linear factor at every test point.
-
-    Returns ``(k, m)`` arrays of ``dtype`` for k points and m factors.
-    """
-    factors = np.asarray(factors, dtype=dtype)
+def _factor_parts(factors, points):
+    """Real/imaginary parts of every linear factor at every test point, ``(k, m)``."""
+    factors = np.asarray(factors, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
     re = (1.0 - factors)[None, :] + factors[None, :] * points.real[:, None]
     im = factors[None, :] * points.imag[:, None]
@@ -70,14 +58,9 @@ def _factor_parts(factors, points, dtype=float):
 
 
 def _constraint_values(x, points):
-    """Slacks ``g_bar**2 - |G(z_j)|**2`` for every test point, vectorized.
-
-    Extended precision (where the platform has it): near coalescing factors
-    the Newton system is so ill-conditioned that double rounding of the
-    slacks alone stalls Newton near 1e-11, short of the 1e-12 it must reach.
-    """
-    re, im = _factor_parts(x[:-1], points, np.longdouble)
-    return (np.longdouble(x[-1]) ** 2 - np.prod(re * re + im * im, axis=1)).astype(float)
+    """Slacks ``g_bar**2 - |G(z_j)|**2`` for every test point, vectorized."""
+    re, im = _factor_parts(x[:-1], points)
+    return x[-1] ** 2 - np.prod(re * re + im * im, axis=1)
 
 
 def _constraint_jacobians(x, points):
@@ -112,139 +95,25 @@ def constraint_jacobian(x, z):
     return _constraint_jacobians(np.asarray(x, dtype=float), z)[0]
 
 
-def _test_points(m, c_ratio):
-    return real_test_points(m).astype(complex) if c_ratio == 0.0 else ellipse_test_points(make_region(m, c_ratio))
-
-
-def _bounds(m):
-    lower = np.append(np.full(m, FACTOR_BOUNDS[0]), G_BAR_BOUNDS[0])
-    return lower, np.append(np.full(m, FACTOR_BOUNDS[1]), G_BAR_BOUNDS[1])
-
-
-def _polish(x, zs, max_drift=0.05):
-    """Damped Newton on the active system ``c_j(x) = 0`` at the distinct test points.
-
-    Backtracking keeps it stable on the flat ridges long cycles produce.
-    Returns ``(x, iterations)``, x None when the system is singular, the
-    residual stays above 1e-12, x drifts beyond ``max_drift`` or its bounds.
-    """
-    unique = zs[zs.imag >= 0.0]
-    start, iterations = x.copy(), 0
-    for _ in range(60):
-        values = _constraint_values(x, unique)
-        worst = np.abs(values).max()
-        if worst < 1e-14:
-            break
-        try:
-            step = np.linalg.solve(_constraint_jacobians(x, unique), -values)
-        except (np.linalg.LinAlgError, DegenerateFactorError):
-            return None, iterations
-        scale = 1.0
-        for _ in range(30):
-            trial = x + scale * step
-            if np.all(trial[:-1] > 0.0) and np.all(np.isfinite(trial)):
-                if np.abs(_constraint_values(trial, unique)).max() < worst * (1.0 - 1e-4 * scale):
-                    break
-            scale *= 0.5
-        else:
-            break
-        x, iterations = x + scale * step, iterations + 1
-    lower, upper = _bounds(x.size - 1)
-    drift = np.abs(x - start).max() / (1.0 + np.abs(start).max())
-    if np.abs(_constraint_values(x, unique)).max() > 1e-12 or drift > max_drift or np.any((x < lower) | (x > upper)):
-        return None, iterations
-    return x, iterations
-
-
-def _continue(m, c_ratio):
-    """Newton continuation from the exact c = 0 solution toward ``c_ratio``.
-
-    Starts at 20 equal steps; a solved step grows the next by 1.5x (up to
-    twice the first), a failed one halves it, down to 1e-6.  Returns
-    ``(x, c_reached, iterations)`` for the last solved point.
-    """
-    x = np.append(chebyshev_scheme(m).factors, 1.0 / 3.0)
-    c, iterations = 0.0, 0
-    first = step = c_ratio / 20.0
-    while c < c_ratio:
-        target = min(c + step, c_ratio)
-        solved, its = _polish(x, _test_points(m, target), max_drift=0.2)
-        iterations += its
-        if solved is None:
-            step /= 2.0
-            if step < 1e-6:
-                break
-        else:
-            x, c, step = solved, target, min(1.5 * step, 2.0 * first)
-    return x, c, iterations
-
-
-def _fallback(m, x, zs):
-    """One trust-constr run warm-started from ``x``, then Newton.
-
-    g_bar re-seeds feasible, just above the factors' worst amplification
-    over ``zs`` (floored at 0.4): an infeasible bound guess strands the
-    interior-point solver.  Returns ``(x, iterations, solved)``.
-    """
-    from scipy.optimize import BFGS, Bounds, NonlinearConstraint, minimize
-
-    lower, upper = _bounds(m)
-    worst = np.sqrt((x[-1] ** 2 - _constraint_values(x, zs)).max())
-    x0 = np.clip(np.append(x[:-1], max(0.4, 1.05 * worst)), lower, upper)
-    constraint = NonlinearConstraint(lambda v: _constraint_values(v, zs), 0.0, np.inf,
-                                     jac=lambda v: _constraint_jacobians(v, zs), hess=BFGS())
-    objective_hessian = np.diag(np.append(np.zeros(m), 2.0))
-    for attempt in range(3):
-        try:
-            result = minimize(objective, x0, jac=objective_gradient, hess=lambda v: objective_hessian,
-                              method="trust-constr", bounds=Bounds(lower, upper), constraints=[constraint],
-                              options={"gtol": 1e-12, "xtol": 1e-14, "barrier_tol": 1e-12, "maxiter": 3000})
-            break
-        except DegenerateFactorError:
-            # Nudge off the singular hyperplane and restart; optima never sit on it.
-            x0 = x0.copy()
-            x0[:m] += 1e-12 * (attempt + 1)
-    else:
-        raise DegenerateFactorError(f"optimizer kept hitting degenerate factors for m={m}")
-
-    best = result.x.copy()
-    best[-1] = abs(best[-1])  # only g_bar**2 enters the problem; fix the gauge
-    polished, its = _polish(best, zs)  # rescues runs that crawled out their budget
-    if polished is not None and polished[-1] <= best[-1] + 1e-9:
-        return polished, result.niter + its, True
-    return best, result.niter + its, result.status in (1, 2)
-
-
 def derive_scheme(m, c_ratio):
-    """Derive the length-m scheme optimized over the (m, c_ratio) ellipse.
+    """The length-m scheme for the (m, c_ratio) ellipse, in closed form.
 
-    Closed form at ``c_ratio = 1``; below it, continuation in c from the
-    analytic c = 0 scheme, then one warm-started trust-constr run only if
-    continuation stalls.  Factors are sorted descending; an infeasible result,
-    or a fallback that neither converged nor polished, has ``converged=False``.
+    Factors are sorted descending; g_bar is max |G| over the test points.
     """
     if m < 2:
         raise ValueError(f"scheme derivation needs m >= 2, got {m}")
     if not 0.0 <= c_ratio <= 1.0:
         raise ValueError(f"c_ratio must lie in [0, 1], got {c_ratio}")
 
-    zs = _test_points(m, c_ratio)
     region = make_region(m, c_ratio)
-    if c_ratio == 1.0:
-        w = 1.0 / (1.0 - region.x_c)
-        x, iterations, solved = np.append(np.full(m, w), (region.a * w) ** m), 0, True
-    else:
-        x, c_reached, iterations = _continue(m, c_ratio)
-        solved = c_reached == c_ratio
-        if not solved:
-            x, niter, solved = _fallback(m, x, zs)
-            iterations += niter
-
+    d = region.a * np.sqrt(1.0 - c_ratio**2)
+    roots = region.x_c + d * np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))
+    factors = np.sort(1.0 / (1.0 - roots))[::-1]
+    zs = _test_points(m, c_ratio)
     theta = np.linspace(0.0, np.pi, BOUNDARY_SAMPLES)
     boundary = region.x_c + region.a * np.cos(theta) + 1j * region.b * np.sin(theta)
-    violation = float(max(0.0, -_constraint_values(x, zs).min()))
-    g_bar = float(x[-1])
-    scheme = Scheme(factors=tuple(np.sort(x[:-1])[::-1]), c_ratio=float(c_ratio), g_bar=g_bar if g_bar < 1.0 else None)
-    boundary_max = float(np.abs(amp_eval(scheme, np.concatenate((boundary, zs)))).max())
-    converged = bool(solved and violation <= 1e-8 and 0.0 < g_bar < 1.0)
-    return OptimizationResult(scheme, g_bar, converged, iterations, violation, boundary_max)
+    moduli = np.abs(amp_eval(Scheme(factors=factors), np.concatenate((zs, boundary))))
+    g_bar = float(moduli[:zs.size].max())
+    scheme = Scheme(factors=factors, c_ratio=float(c_ratio), g_bar=g_bar if g_bar < 1.0 else None)
+    violation = float(max(0.0, -_constraint_values(np.append(factors, g_bar), zs).min()))
+    return OptimizationResult(scheme, g_bar, True, 0, violation, float(moduli.max()))

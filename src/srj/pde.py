@@ -16,7 +16,6 @@ with x fastest, so the vertical couplings sit ``nx`` off the diagonal.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .sparse import CsrMatrix
 
@@ -74,6 +73,8 @@ def build_1d(spec):
 
     main = np.full(n, diag)
     main[-1] += upper  # Neumann ghost reflection folds the outflow term
+    import scipy.sparse  # here, not at module level; see srj.sparse
+
     matrix = scipy.sparse.diags(
         [np.full(n - 1, lower), main, np.full(n - 1, upper)], offsets=[-1, 0, 1], format="csr"
     )
@@ -106,6 +107,8 @@ def build_2d(spec):
     west_band[cols_i[1:] == 0] = 0.0  # no coupling across the row seam
     east_band = np.full(n_unknowns - 1, east)
     east_band[cols_i[:-1] == nx - 1] = 0.0
+
+    import scipy.sparse
 
     matrix = scipy.sparse.diags(
         [

@@ -66,3 +66,10 @@ def ellipse_test_points(region):
         points.append(complex(x, y))
         points.append(complex(x, -y))
     return np.array(points)
+
+
+def _test_points(m, c_ratio):
+    """Constraint points of the (m, c_ratio) problem: real at c = 0, lifted otherwise."""
+    if c_ratio == 0.0:
+        return real_test_points(m).astype(complex)
+    return ellipse_test_points(make_region(m, c_ratio))

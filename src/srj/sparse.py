@@ -6,14 +6,14 @@ operation per sweep in :func:`srj.solver.run_srj`, which carries the
 residual ``b - A x`` between sweeps and takes its norm itself.
 Everything else here is bookkeeping: validation, diagonal extraction for
 the Jacobi splitting, a standalone residual norm for checking a result,
-and Matrix Market import/export.
+and Matrix Market import/export.  scipy is imported where a matrix is
+first built, so code that only derives or looks up schemes (``import
+srj``, ``srj derive``) never pays its load time and memory.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 
 class SingularSplittingError(ValueError):
@@ -34,7 +34,7 @@ class CsrMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _backend: scipy.sparse.csr_matrix = field(init=False, repr=False, compare=False, default=None)
+    _backend: "scipy.sparse.csr_matrix" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
@@ -69,6 +69,8 @@ class CsrMatrix:
     @property
     def scipy(self):
         if self._backend is None:
+            import scipy.sparse
+
             self._backend = scipy.sparse.csr_matrix(
                 (self.values, self.col_indices, self.row_offsets),
                 shape=(self.n_rows, self.n_cols),
@@ -77,6 +79,8 @@ class CsrMatrix:
 
     @classmethod
     def from_scipy(cls, matrix):
+        import scipy.sparse
+
         csr = scipy.sparse.csr_matrix(matrix)
         csr.sort_indices()
         csr.eliminate_zeros()
@@ -90,7 +94,7 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, dense):
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(dense, dtype=float)))
+        return cls.from_scipy(np.asarray(dense, dtype=float))
 
     def to_dense(self):
         return self.scipy.toarray()
@@ -132,8 +136,12 @@ def jacobi_split(A):
 
 
 def write_matrix_market(A, path):
+    import scipy.io
+
     scipy.io.mmwrite(str(path), A.scipy)
 
 
 def read_matrix_market(path):
+    import scipy.io
+
     return CsrMatrix.from_scipy(scipy.io.mmread(str(path)))
